@@ -7,8 +7,10 @@ all: build
 build:
 	$(GO) build ./...
 
+# bench/ is a module of its own, so ./... stops at its door.
 test:
 	$(GO) test ./...
+	cd bench && $(GO) test ./...
 
 # race is the concurrency gate: vet + build + full test suite under the race
 # detector (the obs instruments are the main concurrent surface).
@@ -16,6 +18,7 @@ race:
 	$(GO) vet ./...
 	$(GO) build ./...
 	$(GO) test -race ./...
+	cd bench && $(GO) test -race ./...
 
 vet:
 	$(GO) vet ./...

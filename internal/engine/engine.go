@@ -229,14 +229,8 @@ func (e *Engine) Get(key uint64) (any, bool) {
 func (e *Engine) doGet(s *shard, set int, key uint64, sp *reqspan.Span) (any, bool) {
 	s.lock()
 	sp.Mark(reqspan.StageLockWait)
-	if w := s.find(set, key); w >= 0 {
-		s.hits.Inc()
-		s.policy.Access(set, key, true)
-		s.policy.Touch(set, w)
-		sp.Mark(reqspan.StageDecision)
-		s.touchShadow(set, key)
-		sp.Mark(reqspan.StageShadow)
-		v := s.vals[set][w]
+	if w, _ := s.probe(set, key); w >= 0 {
+		v := s.hit(set, w, key, sp)
 		s.mu.Unlock()
 		e.tracer.Finish(sp, reqspan.OutcomeHit)
 		return v, true
@@ -261,25 +255,18 @@ func (e *Engine) Set(key uint64, value any, cost replacement.Cost) {
 func (e *Engine) doSet(s *shard, set int, key uint64, value any, cost replacement.Cost, sp *reqspan.Span) {
 	s.lock()
 	sp.Mark(reqspan.StageLockWait)
-	if w := s.find(set, key); w >= 0 {
-		s.hits.Inc()
-		s.policy.Access(set, key, true)
-		s.policy.Touch(set, w)
-		s.vals[set][w] = value
-		if s.costv != nil {
-			s.costv[set][w] = cost
-		}
-		sp.Mark(reqspan.StageDecision)
-		s.setShadowCost(set, key, cost)
-		s.touchShadow(set, key)
-		sp.Mark(reqspan.StageShadow)
+	w, free := s.probe(set, key)
+	if w >= 0 {
+		en := s.at(set, w)
+		en.val, en.cost = value, cost
+		s.hit(set, w, key, sp)
 		s.mu.Unlock()
 		e.tracer.Finish(sp, reqspan.OutcomeHit)
 		return
 	}
 	s.misses.Inc()
 	sp.Mark(reqspan.StageDecision)
-	s.install(set, key, value, cost, sp)
+	s.install(set, free, key, value, cost, sp)
 	s.mu.Unlock()
 	e.tracer.Finish(sp, reqspan.OutcomeMiss)
 }
@@ -308,16 +295,15 @@ func (e *Engine) GetOrLoad(key uint64, load Loader) (any, error) {
 func (e *Engine) Invalidate(key uint64) bool {
 	s, set := e.place(key)
 	s.lock()
-	defer s.mu.Unlock()
 	delete(s.ghosts, key)
-	w := s.find(set, key)
+	w, _ := s.probe(set, key)
 	s.policy.Invalidate(set, w, key)
-	if w < 0 {
-		return false
+	if w >= 0 {
+		en := s.at(set, w)
+		en.valid, en.val = false, nil
 	}
-	s.valid[set][w] = false
-	s.vals[set][w] = nil
-	return true
+	s.mu.Unlock()
+	return w >= 0
 }
 
 // Stats is a point-in-time sum of the per-shard counters.
@@ -361,7 +347,7 @@ func (e *Engine) Stats() Stats {
 		t.Evictions += s.evictions.Value()
 		t.CostPaid += s.costPaid.Value()
 		t.LockWaitNs += s.lockWait.Value()
-		t.ShadowCost += s.shadowCost()
+		t.ShadowCost += s.shadow.cost.Load()
 	}
 	t.LoadTimeouts = e.loadTimeouts.Value()
 	t.LoadRetries = e.loadRetries.Value()

@@ -64,19 +64,16 @@ func (e *Engine) GetOrLoadInfo(key uint64, load Loader) (value any, info LoadInf
 func (e *Engine) doGetOrLoad(s *shard, set int, key uint64, load Loader, sp *reqspan.Span) (value any, info LoadInfo, err error) {
 	s.lock()
 	sp.Mark(reqspan.StageLockWait)
-	if w := s.find(set, key); w >= 0 {
-		s.hits.Inc()
-		s.policy.Access(set, key, true)
-		s.policy.Touch(set, w)
-		sp.Mark(reqspan.StageDecision)
-		s.touchShadow(set, key)
-		sp.Mark(reqspan.StageShadow)
-		v := s.vals[set][w]
+	if w, _ := s.probe(set, key); w >= 0 {
+		v := s.hit(set, w, key, sp)
 		s.mu.Unlock()
 		e.tracer.Finish(sp, reqspan.OutcomeHit)
 		return v, LoadInfo{Hit: true}, nil
 	}
 	if f, ok := s.flights[key]; ok {
+		if f.done == nil {
+			f.done = make(chan struct{}) // first waiter of an inline flight
+		}
 		s.coalesced.Inc()
 		sp.Mark(reqspan.StageDecision)
 		s.mu.Unlock()
@@ -124,55 +121,72 @@ func (e *Engine) waitFlight(s *shard, key uint64, f *flight, sp *reqspan.Span) (
 }
 
 // loadInline is the legacy leader path (no Resilience configured): run the
-// loader on the calling goroutine, install, publish. Kept verbatim so
-// un-configured engines stay bit-identical with pre-resilience behavior.
-// Entered holding the shard lock; the miss is not yet counted.
+// loader on the calling goroutine, install, publish. Un-configured engines
+// stay bit-identical with pre-resilience behavior. Entered holding the shard
+// lock; the miss is not yet counted.
+//
+// An uncontended miss allocates nothing. The leader keeps the load's result
+// in locals and the flight it registers is only a rendezvous: a waiter that
+// finds it makes its done channel, and only then does the leader publish the
+// result into it. A flight whose done is still nil once it is out of the
+// table was never seen by another goroutine, so it goes back to the shard's
+// spare slot for the next miss; one a waiter has seen is never reused.
 func (e *Engine) loadInline(s *shard, set int, key uint64, load Loader, sp *reqspan.Span) (any, LoadInfo, error) {
 	s.misses.Inc()
-	f := &flight{done: make(chan struct{})}
-	s.flights[key] = f
-	if len(s.flights) > s.flightsMax {
-		s.flightsMax = len(s.flights)
+	f := s.spare
+	if f != nil {
+		s.spare = nil
+	} else {
+		f = new(flight)
 	}
+	s.addFlight(key, f)
 	sp.Mark(reqspan.StageDecision)
 	s.mu.Unlock()
 
+	var (
+		val      any
+		cost     replacement.Cost
+		err      error
+		panicked bool
+		pan      any
+	)
 	func() {
 		defer func() {
 			if r := recover(); r != nil {
-				f.panicked, f.pan = true, r
+				panicked, pan = true, r
 			}
 		}()
-		f.val, f.cost, f.err = load(key)
+		val, cost, err = load(key)
 	}()
 	sp.Mark(reqspan.StageLoad)
 
 	s.lock()
 	sp.Mark(reqspan.StageLockWait) // the leader's second acquisition, to install
 	delete(s.flights, key)
-	if !f.panicked && f.err == nil {
-		if w := s.find(set, key); w >= 0 {
-			// A concurrent Set installed the key while the loader ran; the
-			// loader's value wins so leader and waiters agree with the cache.
-			s.vals[set][w] = f.val
-			sp.Mark(reqspan.StageFill)
-		} else {
-			s.install(set, key, f.val, f.cost, sp)
-			f.charged = int64(f.cost)
-		}
+	var charged int64
+	if !panicked && err == nil {
+		charged = s.settle(set, key, val, cost, sp)
+	}
+	done := f.done
+	if done == nil {
+		s.spare = f
+	} else {
+		f.val, f.err, f.panicked, f.pan = val, err, panicked, pan // what waitFlight reads
 	}
 	s.mu.Unlock()
-	close(f.done)
-	if f.panicked {
-		e.tracer.Finish(sp, reqspan.OutcomeError)
-		panic(f.pan)
+	if done != nil {
+		close(done)
 	}
-	if f.err != nil {
+	if panicked {
 		e.tracer.Finish(sp, reqspan.OutcomeError)
-		return f.val, LoadInfo{}, f.err
+		panic(pan)
+	}
+	if err != nil {
+		e.tracer.Finish(sp, reqspan.OutcomeError)
+		return val, LoadInfo{}, err
 	}
 	e.tracer.Finish(sp, reqspan.OutcomeMiss)
-	return f.val, LoadInfo{Charged: f.charged}, f.err
+	return val, LoadInfo{Charged: charged}, nil
 }
 
 // loadResilient is the degraded-mode leader path: consult the class's
@@ -214,11 +228,10 @@ func (e *Engine) loadResilient(s *shard, set int, key uint64, load Loader, sp *r
 	}
 
 	s.misses.Inc()
+	// The leader itself waits on done and runLoad owns the flight, so the
+	// channel is made up front and the flight is never recycled.
 	f := &flight{done: make(chan struct{})}
-	s.flights[key] = f
-	if len(s.flights) > s.flightsMax {
-		s.flightsMax = len(s.flights)
-	}
+	s.addFlight(key, f)
 	sp.Mark(reqspan.StageDecision)
 	s.mu.Unlock()
 
@@ -295,17 +308,7 @@ func (e *Engine) runLoad(s *shard, set int, key uint64, class replacement.Cost, 
 	s.lock()
 	delete(s.flights, key)
 	if !f.panicked && f.err == nil {
-		if w := s.find(set, key); w >= 0 {
-			// A concurrent Set installed the key while the loader ran; the
-			// loader's value wins so flights agree with the cache.
-			s.vals[set][w] = f.val
-			if s.costv != nil {
-				s.costv[set][w] = f.cost
-			}
-		} else {
-			s.install(set, key, f.val, f.cost, nil)
-			f.charged = int64(f.cost)
-		}
+		f.charged = s.settle(set, key, f.val, f.cost, nil)
 	}
 	s.mu.Unlock()
 	close(f.done)

@@ -5,8 +5,6 @@ import (
 	"sync"
 	"time"
 
-	"costcache/internal/cache"
-	"costcache/internal/cost"
 	"costcache/internal/obs"
 	"costcache/internal/obs/reqspan"
 	"costcache/internal/replacement"
@@ -14,8 +12,9 @@ import (
 
 // shard is one lock domain of the engine: a slice of the global set space,
 // its own policy instance, the in-flight load table and the optional LRU
-// shadow. All fields below mu are guarded by it; the counters are atomic so
-// Stats can read them without stopping traffic.
+// shadow. All fields below mu are guarded by it; the counters and the
+// shadow's cost sum are atomic so Stats can read them without stopping
+// traffic.
 type shard struct {
 	mu     sync.Mutex
 	policy replacement.Policy
@@ -23,40 +22,51 @@ type shard struct {
 	sets   int // local set count (global sets / shards)
 	ways   int
 
-	keys  [][]uint64
-	valid [][]bool
-	vals  [][]any
+	// entries is the shard's whole storage, set-major: way w of set lives at
+	// entries[set*ways+w], so a probe walks one contiguous run.
+	entries []entry
 
 	// flights holds the in-flight GetOrLoad per key; waiters block on the
 	// flight's done channel off-lock, so a slow loader never holds the shard.
-	// flightsMax is the table's high-water depth (mutex-guarded).
+	// flightsMax is the table's high-water depth (mutex-guarded). spare is a
+	// finished inline flight no waiter ever saw, kept for the next miss.
 	flights    map[uint64]*flight
 	flightsMax int
+	spare      *flight
 
-	// shadow replays touches and installs through a same-geometry LRU cache;
-	// costs holds the last charged cost per shadow block so the shadow's
-	// misses are priced like the engine's.
-	shadow *cache.Cache
-	costs  map[uint64]replacement.Cost
+	// shadow replays touches and installs under true LRU (disabled when zero).
+	shadow lruShadow
 
-	// ghosts retains the last sets×ways evicted values for serve-stale
-	// (nil unless the engine's resilience config enables it). gring is a
-	// FIFO of ghost keys bounding the map at the shard's own capacity;
-	// costv tracks each resident way's charged cost so an evicted value
-	// ghosts with its class.
+	// ghosts retains the last sets×ways evicted values, each with the cost
+	// its entry carried, for serve-stale (nil unless the engine's resilience
+	// config enables it). gring is a FIFO of ghost keys bounding the map at
+	// the shard's own capacity.
 	ghosts map[uint64]ghost
 	gring  []uint64
 	ghead  int
-	costv  [][]replacement.Cost
 
 	hits, misses, coalesced *obs.Counter
 	evictions, costPaid     *obs.Counter
 	lockWait                *obs.Counter
 }
 
+// entry is one way of one set. cost is the predicted next-miss cost the
+// entry's last writer gave it: what the policy was told at Fill, what the
+// shadow charges when it misses the key, and the class its ghost keeps.
+// val and cost always come from the same writer.
+type entry struct {
+	key   uint64
+	cost  replacement.Cost
+	val   any
+	valid bool
+}
+
 // flight is one in-flight load. The result fields are written by the leader
 // (or, on the resilient path, the background load goroutine) before done is
 // closed and read by waiters after it, so the channel close publishes them.
+//
+// On the inline path done starts nil and the first waiter to find the flight
+// makes it, under the shard lock (see loadInline).
 type flight struct {
 	done     chan struct{}
 	val      any
@@ -82,15 +92,8 @@ func newShard(id, sets, ways int, p replacement.Policy, reg *obs.Registry, ns st
 		id:      id,
 		sets:    sets,
 		ways:    ways,
-		keys:    make([][]uint64, sets),
-		valid:   make([][]bool, sets),
-		vals:    make([][]any, sets),
+		entries: make([]entry, sets*ways),
 		flights: make(map[uint64]*flight),
-	}
-	for i := 0; i < sets; i++ {
-		s.keys[i] = make([]uint64, ways)
-		s.valid[i] = make([]bool, ways)
-		s.vals[i] = make([]any, ways)
 	}
 	p.Reset(sets, ways)
 	counter := func(base string) *obs.Counter {
@@ -108,21 +111,9 @@ func newShard(id, sets, ways int, p replacement.Policy, reg *obs.Registry, ns st
 	if withGhosts {
 		s.ghosts = make(map[uint64]ghost)
 		s.gring = make([]uint64, sets*ways)
-		s.costv = make([][]replacement.Cost, sets)
-		for i := range s.costv {
-			s.costv[i] = make([]replacement.Cost, ways)
-		}
 	}
 	if withShadow {
-		s.costs = make(map[uint64]replacement.Cost)
-		s.shadow = cache.New(cache.Config{
-			Name:       fmt.Sprintf("shadow-%d", id),
-			SizeBytes:  sets * ways,
-			Ways:       ways,
-			BlockBytes: 1, // keys are "blocks": no spatial locality to model
-			Policy:     replacement.NewLRU(),
-			Cost:       cost.Func(func(block uint64) replacement.Cost { return s.costs[block] }),
-		})
+		s.shadow.init(sets, ways)
 	}
 	return s
 }
@@ -138,53 +129,93 @@ func (s *shard) lock() {
 	s.lockWait.Add(time.Since(t0).Nanoseconds())
 }
 
-// find returns the way holding key in set, or -1.
-func (s *shard) find(set int, key uint64) int {
-	for w := 0; w < s.ways; w++ {
-		if s.valid[set][w] && s.keys[set][w] == key {
-			return w
+// at returns way w of set.
+func (s *shard) at(set, w int) *entry { return &s.entries[set*s.ways+w] }
+
+// probe walks set once and returns the way holding key (-1 if none) and, when
+// the key is absent, the first invalid way (-1 if the set is full) — where an
+// install under the same lock hold must go.
+func (s *shard) probe(set int, key uint64) (way, free int) {
+	free = -1
+	ents := s.entries[set*s.ways : (set+1)*s.ways]
+	for w := range ents {
+		if e := &ents[w]; !e.valid {
+			if free < 0 {
+				free = w
+			}
+		} else if e.key == key {
+			return w, free
 		}
 	}
-	return -1
+	return -1, free
 }
 
-// install places key into set (which must not already hold it), evicting the
-// policy's victim from a full set, charging cost and mirroring the install
-// into the shadow. Callers hold the shard lock and have counted the miss; sp
-// is the caller's (usually nil) request span, marked at the fill/shadow
-// stage boundaries.
-func (s *shard) install(set int, key uint64, value any, c replacement.Cost, sp *reqspan.Span) {
-	s.policy.Access(set, key, false)
-	w := -1
-	for i := 0; i < s.ways; i++ {
-		if !s.valid[set][i] {
-			w = i
-			break
-		}
+// hit records a hit on way w of set, which holds key — the counter, the
+// policy's Access+Touch, the shadow's replay — and returns the entry's value
+// (lock held).
+func (s *shard) hit(set, w int, key uint64, sp *reqspan.Span) any {
+	s.hits.Inc()
+	s.policy.Access(set, key, true)
+	s.policy.Touch(set, w)
+	sp.Mark(reqspan.StageDecision)
+	en := s.at(set, w)
+	s.shadow.touch(set, key, en.cost)
+	sp.Mark(reqspan.StageShadow)
+	return en.val
+}
+
+// settle ends a successful load of key (lock held, flight already out of the
+// table): install the loaded value, or, when a concurrent Set installed the
+// key while the loader ran, overwrite that entry — value and cost together,
+// so leader, waiters and cache agree on the loader's result. It returns the
+// cost charged, 0 in the overwrite case.
+func (s *shard) settle(set int, key uint64, value any, c replacement.Cost, sp *reqspan.Span) (charged int64) {
+	w, free := s.probe(set, key)
+	if w >= 0 {
+		en := s.at(set, w)
+		en.val, en.cost = value, c
+		sp.Mark(reqspan.StageFill)
+		return 0
 	}
+	s.install(set, free, key, value, c, sp)
+	return int64(c)
+}
+
+// install places key into set (which must not already hold it) at free, the
+// invalid way probe reported under this lock hold, or, with free < 0, over
+// the policy's victim. It charges cost and mirrors the install into the
+// shadow. Callers hold the shard lock and have counted the miss; sp is the
+// caller's (usually nil) request span, marked at the fill/shadow stage
+// boundaries.
+func (s *shard) install(set, free int, key uint64, value any, c replacement.Cost, sp *reqspan.Span) {
+	s.policy.Access(set, key, false)
+	w := free
 	if w < 0 {
 		w = s.policy.Victim(set)
-		if w < 0 || w >= s.ways || !s.valid[set][w] {
+		if w < 0 || w >= s.ways || !s.at(set, w).valid {
 			panic(fmt.Sprintf("engine: policy %s returned bad victim %d", s.policy.Name(), w))
 		}
 		s.evictions.Inc()
-		if s.ghosts != nil {
-			s.stashGhost(s.keys[set][w], s.vals[set][w], s.costv[set][w])
-		}
 	}
-	s.keys[set][w] = key
-	s.valid[set][w] = true
-	s.vals[set][w] = value
-	if s.costv != nil {
-		s.costv[set][w] = c
+	en := s.at(set, w)
+	if free < 0 && s.ghosts != nil {
+		s.stashGhost(en.key, en.val, en.cost)
 	}
+	*en = entry{key: key, cost: c, val: value, valid: true}
 	s.policy.Fill(set, w, key, c)
 	s.costPaid.Add(int64(c))
 	sp.AddCost(int64(c))
 	sp.Mark(reqspan.StageFill)
-	s.setShadowCost(set, key, c)
-	s.touchShadow(set, key)
+	s.shadow.touch(set, key, c)
 	sp.Mark(reqspan.StageShadow)
+}
+
+// addFlight registers f as key's in-flight load (lock held).
+func (s *shard) addFlight(key uint64, f *flight) {
+	s.flights[key] = f
+	if len(s.flights) > s.flightsMax {
+		s.flightsMax = len(s.flights)
+	}
 }
 
 // stashGhost retains an evicted value for serve-stale (lock held). The FIFO
@@ -209,35 +240,4 @@ func (s *shard) ghostValue(key uint64) (any, bool) {
 	defer s.mu.Unlock()
 	g, ok := s.ghosts[key]
 	return g.val, ok
-}
-
-// shadowBlock maps (set, key) to the shadow cache's block address: the low
-// bits pin the shadow set to the engine set, the rest carry the key, so the
-// shadow sees the same set partition the engine uses.
-func (s *shard) shadowBlock(set int, key uint64) uint64 {
-	return key*uint64(s.sets) + uint64(set)
-}
-
-// setShadowCost records the cost the shadow charges when it misses key.
-func (s *shard) setShadowCost(set int, key uint64, c replacement.Cost) {
-	if s.costs != nil {
-		s.costs[s.shadowBlock(set, key)] = c
-	}
-}
-
-// touchShadow replays one engine touch or install into the LRU shadow.
-func (s *shard) touchShadow(set int, key uint64) {
-	if s.shadow != nil {
-		s.shadow.Access(s.shadowBlock(set, key), false)
-	}
-}
-
-// shadowCost returns the aggregate cost the shadow has paid.
-func (s *shard) shadowCost() int64 {
-	if s.shadow == nil {
-		return 0
-	}
-	s.lock()
-	defer s.mu.Unlock()
-	return s.shadow.Stats().AggCost
 }

@@ -15,6 +15,9 @@ fi
 go vet ./...
 go build ./...
 go test -race ./...
+# bench/ is a module of its own (see bench/README.md): the root's ./... does
+# not descend into it.
+(cd bench && go test ./... && go test -race ./...)
 
 # Observability smoke: a quick deterministic numasim run producing every
 # artifact kind. cmd/report -check fails the gate on malformed output; the
